@@ -193,7 +193,7 @@ def test_backends_bit_identical_dense_and_lazy():
         _ingest(
             lazy, mixed_workload_stream(1 << 14, IDENTITY_UPDATES, "kernel-ident")
         )
-        states[backend] = (dense.shard_state_ints(0), lazy.state_digest())
+        states[backend] = (list(dense.shard_state_ints(0)), lazy.state_digest())
     reference = states.pop("reference")
     for backend, state in states.items():
         assert state == reference, f"{backend} diverged from reference"

@@ -17,7 +17,10 @@ subgraph.  This bench pins all three claims on seeded streams:
   ``~2x``, not by the universe, and ingest above a conservative
   throughput floor;
 * **dense/lazy identity gate** — on a moderate universe the lazy
-  engine's wire state must equal the dense engine's on a long stream.
+  engine's wire state must equal the dense engine's on a long stream;
+* **checkpoint/restore gate** — the full session's checkpoint and
+  restore byte rates, with the restored session rewriting identical
+  bytes.
 
 Measured rates land in ``benchmarks/results/BENCH_sparse.json``;
 ``tools/perf_regress.py`` (run by ``make bench-sparse``) compares them
@@ -73,6 +76,13 @@ RESULTS_JSON = pathlib.Path(__file__).parent / "results" / "BENCH_sparse.json"
 
 _RATES: dict[str, float] = {}
 
+#: Checkpoint bytes per second of the 10^7-id session's save and
+#: restore (a return to per-row state I/O is a ~5x drop).
+_CHECKPOINT_RATES: dict[str, float] = {}
+
+#: Timed repeats per checkpoint/restore measurement (the best counts).
+CHECKPOINT_REPEATS = 5
+
 
 def _connectivity_session(touched: int) -> GraphSession:
     import math
@@ -111,8 +121,9 @@ def proportionality_runs():
     return runs
 
 
-def test_full_session_gate(results):
-    """10^7-id universe, four query kinds, resident << dense universe."""
+@pytest.fixture(scope="module")
+def full_session():
+    """The four-query 10^7-id session, driven once per module."""
     session = GraphSession(
         VertexSpace.sparse(UNIVERSE),
         "bench-sparse-session",
@@ -132,7 +143,12 @@ def test_full_session_gate(results):
     )
     begin = time.perf_counter()
     report = WorkloadDriver(session).run(ops, scenario="sparse-universe")
-    elapsed = time.perf_counter() - begin
+    return session, report, time.perf_counter() - begin
+
+
+def test_full_session_gate(full_session, results):
+    """10^7-id universe, four query kinds, resident << dense universe."""
+    session, report, elapsed = full_session
     stats = session.stats()
     answered = {kind for kind in report.latencies}
     fraction = stats.space_words / stats.universe_space_words
@@ -159,6 +175,38 @@ def test_full_session_gate(results):
         f"resident fraction {fraction:.2e} above {RESIDENT_FRACTION_CEILING}"
     )
     assert components_match_ledger(session)
+
+
+def _best_seconds(action, repeats: int = CHECKPOINT_REPEATS) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        begin = time.perf_counter()
+        action()
+        best = min(best, time.perf_counter() - begin)
+    return best
+
+
+def test_checkpoint_restore_gate(full_session, results, tmp_path):
+    """Checkpoint and restore of the 10^7-id session run array-native:
+    their byte rates are floor-gated, and the restored session rewrites
+    the identical bytes."""
+    session = full_session[0]
+    saved, resaved = tmp_path / "session.ckpt", tmp_path / "restored.ckpt"
+    save_s = _best_seconds(lambda: session.checkpoint(saved))
+    size = saved.stat().st_size
+    restored = []
+    restore_s = _best_seconds(lambda: restored.append(GraphSession.restore(saved)))
+    restored[-1].checkpoint(resaved)
+    _CHECKPOINT_RATES["sparse_checkpoint_save"] = round(size / save_s, 1)
+    _CHECKPOINT_RATES["sparse_checkpoint_restore"] = round(size / restore_s, 1)
+    table = "\n".join([
+        f"checkpoint/restore of the {UNIVERSE:,}-id session "
+        f"({size:,} bytes, best of {CHECKPOINT_REPEATS}):",
+        f"  checkpoint: {1e3 * save_s:>8.1f} ms  ({size / save_s / 1e6:.1f} MB/s)",
+        f"  restore   : {1e3 * restore_s:>8.1f} ms  ({size / restore_s / 1e6:.1f} MB/s)",
+    ])
+    results("bench_sparse_checkpoint", table)
+    assert resaved.read_bytes() == saved.read_bytes()
 
 
 def test_memory_proportionality_gate(proportionality_runs, results):
@@ -208,7 +256,7 @@ def test_dense_lazy_identity_long_stream(results):
     lazy_rate = updates / (time.perf_counter() - begin)
     _RATES["dense_engine_connectivity"] = round(dense_rate, 1)
     _RATES["lazy_engine_connectivity"] = round(lazy_rate, 1)
-    identical = dense.shard_state_ints(0) == lazy.shard_state_ints(0)
+    identical = list(dense.shard_state_ints(0)) == list(lazy.shard_state_ints(0))
     table = "\n".join([
         f"dense vs lazy engine on the same {n}-id universe "
         f"({updates:,} tokens, batch 8,192):",
@@ -225,12 +273,13 @@ def test_write_rates_json(proportionality_runs, results):
     payload = {
         "universe": UNIVERSE,
         "updates_per_second": dict(sorted(_RATES.items())),
+        "checkpoint_bytes_per_second": dict(sorted(_CHECKPOINT_RATES.items())),
     }
     RESULTS_JSON.parent.mkdir(exist_ok=True)
     RESULTS_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     results(
         "bench_sparse_json",
-        f"wrote {len(_RATES)} measured rates to {RESULTS_JSON.name} "
+        f"wrote {len(_RATES) + len(_CHECKPOINT_RATES)} measured rates to {RESULTS_JSON.name} "
         "(regression-gated by tools/perf_regress.py)",
     )
     assert RESULTS_JSON.exists()

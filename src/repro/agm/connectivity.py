@@ -25,6 +25,7 @@ import numpy as np
 from repro.agm.spanning_forest import AgmSketch
 from repro.graph.graph import Graph
 from repro.graph.vertex_space import VertexSpace, as_vertex_space
+from repro.sketch.serialize import int_array
 from repro.stream.batching import updates_to_arrays
 from repro.stream.pipeline import StreamingAlgorithm, run_passes
 from repro.stream.stream import DynamicStream
@@ -92,11 +93,12 @@ class ConnectivityChecker(StreamingAlgorithm):
         """Convenience: run the single pass over ``stream``."""
         return run_passes(stream, self, batch_size=batch_size)
 
-    def shard_state_ints(self, pass_index: int) -> list[int]:
-        """Shardable entry point: the AGM sketch stack's flat state."""
+    def shard_state_ints(self, pass_index: int) -> np.ndarray:
+        """Shardable entry point: the AGM sketch stack's flat state (an
+        ``int64`` array, see :meth:`AgmSketch.state_ints`)."""
         return self._sketch.state_ints()
 
-    def load_shard_state_ints(self, pass_index: int, values: list[int]) -> None:
+    def load_shard_state_ints(self, pass_index: int, values) -> None:
         """Shardable entry point: inverse of :meth:`shard_state_ints`."""
         self._sketch.from_state_ints(values)
 
@@ -188,13 +190,14 @@ class BipartitenessChecker(StreamingAlgorithm):
         """Convenience: run the single pass over ``stream``."""
         return run_passes(stream, self, batch_size=batch_size)
 
-    def shard_state_ints(self, pass_index: int) -> list[int]:
+    def shard_state_ints(self, pass_index: int) -> np.ndarray:
         """Shardable entry point: base-sketch state then cover-sketch state
         (both blocks are self-delimiting sparse-row sequences)."""
-        return self._base.state_ints() + self._cover.state_ints()
+        return np.concatenate([self._base.state_ints(), self._cover.state_ints()])
 
-    def load_shard_state_ints(self, pass_index: int, values: list[int]) -> None:
+    def load_shard_state_ints(self, pass_index: int, values) -> None:
         """Shardable entry point: inverse of :meth:`shard_state_ints`."""
+        values = int_array(values)
         cursor = self._base.load_state_ints(values, 0)
         cursor = self._cover.load_state_ints(values, cursor)
         if cursor != len(values):
@@ -272,16 +275,14 @@ class KConnectivityCertificate(StreamingAlgorithm):
         """Convenience: run the single pass over ``stream``."""
         return run_passes(stream, self, batch_size=batch_size)
 
-    def shard_state_ints(self, pass_index: int) -> list[int]:
+    def shard_state_ints(self, pass_index: int) -> np.ndarray:
         """Shardable entry point: concatenated per-stack sketch states."""
-        flat: list[int] = []
-        for stack in self._stacks:
-            flat.extend(stack.state_ints())
-        return flat
+        return np.concatenate([stack.state_ints() for stack in self._stacks])
 
-    def load_shard_state_ints(self, pass_index: int, values: list[int]) -> None:
+    def load_shard_state_ints(self, pass_index: int, values) -> None:
         """Shardable entry point: inverse of :meth:`shard_state_ints`
         (each stack's block is self-delimiting)."""
+        values = int_array(values)
         cursor = 0
         for stack in self._stacks:
             cursor = stack.load_state_ints(values, cursor)

@@ -39,6 +39,7 @@ from repro.agm.incidence import decode_edge, incidence_updates
 from repro.graph.vertex_space import VertexSpace, as_vertex_space
 from repro.sketch.columnar import L0SamplerStack
 from repro.sketch.l0sampler import L0Sampler
+from repro.sketch.serialize import int_array
 from repro.stream.batching import aggregate_updates
 from repro.util.rng import derive_seed
 
@@ -197,10 +198,12 @@ class AgmSketch:
         The chunk is first collapsed to its net delta per distinct edge
         pair (:func:`~repro.stream.batching.aggregate_updates` — exact by
         linearity), then every round stack absorbs the signed-incidence
-        encoding of the distinct pairs in one columnar scatter.  Hashes
-        are evaluated once per (coordinate, round) rather than once per
-        (coordinate, vertex, round, level); the final state is
-        bit-identical to the scalar :meth:`update` sequence.
+        encoding of the distinct pairs in one columnar scatter.  That
+        scatter sees the low- and high-endpoint incidences as one
+        concatenated array, so each distinct pair's coordinate is hashed
+        twice per (round, level) — once per endpoint — although both
+        rows share the hash family.  The final state is bit-identical
+        to the scalar :meth:`update` sequence.
         """
         us = np.ascontiguousarray(us, dtype=np.int64)
         vs = np.ascontiguousarray(vs, dtype=np.int64)
@@ -416,8 +419,8 @@ class AgmSketch:
             dense_components.setdefault(dsu.find(vertex), set()).add(vertex)
         return list(dense_components.values())
 
-    def state_ints(self) -> list[int]:
-        """Dynamic state as a flat int sequence (for serialization).
+    def state_ints(self) -> np.ndarray:
+        """Dynamic state as a flat ``int64`` array (for serialization).
 
         Round-major sparse blocks: every round stack ships, per
         geometric level, its *nonzero* rows tagged with their logical
@@ -425,14 +428,12 @@ class AgmSketch:
         Nonzero-ness is a pure function of the summarized vectors, so
         dense and lazy engines fed the same stream emit byte-identical
         sequences — which is what lets their checkpoints and shard
-        messages round-trip interchangeably.
+        messages round-trip interchangeably.  (A spilled stack holding a
+        cell outside ``int64`` makes this an ``object`` array.)
         """
-        flat: list[int] = []
-        for stack in self._round_stacks:
-            flat.extend(stack.sparse_state_ints())
-        return flat
+        return np.concatenate([stack.sparse_state_ints() for stack in self._round_stacks])
 
-    def load_state_ints(self, values: list[int], cursor: int = 0) -> int:
+    def load_state_ints(self, values, cursor: int = 0) -> int:
         """Consume one serialized sketch from ``values`` at ``cursor``;
         returns the new cursor (the format is self-delimiting, so
         multi-sketch wires concatenate without length prefixes).
@@ -455,6 +456,7 @@ class AgmSketch:
         distributed setting of :mod:`repro.stream.distributed`) — and a
         lazy coordinator materializes exactly the rows the wire names.
         """
+        values = int_array(values)
         cursor = self.load_state_ints(values, 0)
         if cursor != len(values):
             raise ValueError(f"expected {cursor} state ints, got {len(values)}")

@@ -53,12 +53,16 @@ import struct
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 from repro import faults, obs
 from repro.core.parameters import SpannerParams, SparsifierParams
 from repro.graph.vertex_space import VertexSpace
 from repro.service.ladder import SketchLadder
 from repro.service.session import GraphSession
-from repro.sketch.serialize import pack_ints, unpack_ints
+# ``unpack_ints`` stays importable from this module: perfbench's layer
+# probe wraps the codec names it finds here.
+from repro.sketch.serialize import int_array, pack_ints, unpack_array, unpack_ints  # noqa: F401
 
 __all__ = [
     "CheckpointError",
@@ -95,6 +99,18 @@ def _bits_float(bits: int) -> float:
 
 def _params_dict(params) -> dict | None:
     return None if params is None else dataclasses.asdict(params)
+
+
+def _ledger_ints(session: GraphSession) -> np.ndarray:
+    """``[count, (u, v, multiplicity, weight bits) ...]`` in sorted pair
+    order (an ``object`` array only if some entry leaves ``int64``)."""
+    pairs = sorted(session._multiplicity)
+    ledger = [len(pairs)]
+    for pair in pairs:
+        ledger.extend(
+            (pair[0], pair[1], session._multiplicity[pair], _float_bits(session._weight[pair]))
+        )
+    return int_array(ledger)
 
 
 def _header(session: GraphSession) -> dict:
@@ -167,21 +183,15 @@ def save_session(session: GraphSession, path) -> None:
     temp file is cleaned up and any previous checkpoint is untouched).
     """
     with obs.TRACER.span("checkpoint.save"):
-        flat: list[int] = [len(session._multiplicity)]
-        for pair in sorted(session._multiplicity):
-            flat.extend(
-                (
-                    pair[0],
-                    pair[1],
-                    session._multiplicity[pair],
-                    _float_bits(session._weight[pair]),
-                )
-            )
+        # Varint streams concatenate, so each block is encoded as it is
+        # built: no payload-sized copy of the blocks is ever made.
+        parts = [pack_ints(_ledger_ints(session))]
         for algorithm in session._algorithms():
-            block = algorithm.shard_state_ints(0)
-            flat.append(len(block))
-            flat.extend(block)
-        payload = pack_ints(flat)
+            block = int_array(algorithm.shard_state_ints(0))
+            parts.append(pack_ints((block.size,)))
+            parts.append(pack_ints(block))
+        payload = b"".join(parts)
+        del parts
         header = json.dumps(_header(session), sort_keys=True).encode("utf-8")
 
         path = Path(path)
@@ -258,7 +268,7 @@ def _load_session(path) -> GraphSession:
         )
     try:
         header = json.loads(header_bytes.decode("utf-8"))
-        values = unpack_ints(payload)
+        values = unpack_array(payload)
     except ValueError as error:
         raise CheckpointError(f"{path}: corrupt checkpoint: {error}") from error
 
@@ -293,21 +303,33 @@ def _load_session(path) -> GraphSession:
         ladder=ladder,
     )
 
+    # Decoded once; every block below is a slice (a view) of ``values``.
     cursor = 0
     try:
-        ledger_len = values[cursor]
+        ledger_len = int(values[cursor])
         cursor += 1
-        for _ in range(ledger_len):
-            u, v, multiplicity, weight_bits = values[cursor : cursor + 4]
-            cursor += 4
-            session._multiplicity[(int(u), int(v))] = int(multiplicity)
-            session._weight[(int(u), int(v))] = _bits_float(int(weight_bits))
+        end = cursor + 4 * ledger_len
+        if ledger_len < 0 or end > len(values):
+            raise ValueError(f"ledger of {ledger_len} edges overruns the payload")
+        entries = values[cursor:end].tolist()
+        for index in range(0, len(entries), 4):
+            u, v, multiplicity, weight_bits = entries[index : index + 4]
+            if not 0 <= u < v < session.num_vertices or not 0 < multiplicity < 1 << 63:
+                raise ValueError(
+                    f"ledger entry ({u}, {v}) x {multiplicity} is not a live "
+                    f"edge of [0, {session.num_vertices})"
+                )
+            session._multiplicity[(u, v)] = multiplicity
+            session._weight[(u, v)] = _bits_float(weight_bits)
+        cursor = end
         for algorithm in session._algorithms():
             length = int(values[cursor])
             cursor += 1
+            if length < 0 or cursor + length > len(values):
+                raise ValueError(f"state block of {length} ints overruns the payload")
             algorithm.load_shard_state_ints(0, values[cursor : cursor + length])
             cursor += length
-    except (IndexError, ValueError) as error:
+    except (IndexError, ValueError, OverflowError, struct.error) as error:
         raise CheckpointError(f"{path}: inconsistent payload: {error}") from error
     if cursor != len(values):
         raise CheckpointError(

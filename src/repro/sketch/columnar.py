@@ -89,6 +89,7 @@ from repro.sketch.kernels import (
 from repro import obs
 from repro.sketch.hashing import MERSENNE_61, KWiseHash, NestedSampler
 from repro.sketch.l0sampler import L0Sampler
+from repro.sketch.serialize import int_array
 from repro.sketch.sparse_recovery import (
     _BUCKET_HASH_INDEPENDENCE,
     SparseRecoverySketch,
@@ -325,6 +326,16 @@ class SketchStack:
             self._sorted_rows = None  # lookup snapshot is stale
         return slot
 
+    def _sorted_snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sorted logical rows, their slots)`` of a lazy stack's intern
+        map, rebuilt only when rows were interned since the last call."""
+        if self._sorted_rows is None:
+            rows = np.asarray(self._slot_rows, dtype=np.int64)
+            order = np.argsort(rows, kind="stable")
+            self._sorted_rows = rows[order]
+            self._sorted_slots = order.astype(np.int64)
+        return self._sorted_rows, self._sorted_slots
+
     def _slots_for_batch(self, unique_rows: np.ndarray) -> np.ndarray:
         """Vectorized intern of a batch's distinct logical rows.
 
@@ -333,15 +344,7 @@ class SketchStack:
         steady-state chunks pay no per-row Python); only genuinely new
         rows take the scalar intern path.
         """
-        if self._sorted_rows is None:
-            self._sorted_rows = np.array(
-                sorted(self._slot_of), dtype=np.int64
-            )
-            self._sorted_slots = np.array(
-                [self._slot_of[row] for row in self._sorted_rows.tolist()],
-                dtype=np.int64,
-            )
-        known_rows = self._sorted_rows
+        known_rows, _ = self._sorted_snapshot()
         positions = np.searchsorted(known_rows, unique_rows)
         positions = np.minimum(positions, max(known_rows.size - 1, 0))
         if known_rows.size:
@@ -749,19 +752,26 @@ class SketchStack:
             return sorted(
                 row for row, sketch in self._spilled.items() if not sketch.is_zero()
             )
+        return self._nonzero_rows_and_slots()[0].tolist()
+
+    def _nonzero_rows_and_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending logical ids of the nonzero rows and their storage
+        slots (columnar storage only)."""
         used = len(self._slot_rows) if self.lazy else self.num_rows
         if used == 0:
-            return []
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty
         alive = (
             self._totals[:used].any(axis=1)
             | self._index_sums[:used].any(axis=1)
             | self._fingerprints[:used].any(axis=1)
         )
         if self.lazy:
-            return sorted(
-                self._slot_rows[slot] for slot in np.flatnonzero(alive)
-            )
-        return [int(row) for row in np.flatnonzero(alive)]
+            rows, slots = self._sorted_snapshot()
+            keep = alive[slots]
+            return rows[keep], slots[keep]
+        rows = np.flatnonzero(alive).astype(np.int64)
+        return rows, rows
 
     # ------------------------------------------------------------------
     # Serialization (per-row, matching SparseRecoverySketch layout)
@@ -785,28 +795,47 @@ class SketchStack:
             + self._fingerprints[slot].tolist()
         )
 
-    def load_row_state(self, row: int, values: list[int]) -> None:
+    def _admit_overwrite(self, magnitude: int) -> bool:
+        """Admit cells of at most ``magnitude`` written *over* resident
+        ones (a state load).  Overwriting cannot raise any cell above
+        ``max(bound, magnitude)``, so no headroom is reserved and no
+        tightening scan runs; returns ``False`` after spilling when
+        ``magnitude`` itself is past the guard."""
+        if self._spilled is not None:
+            return False
+        if magnitude < _INT64_SAFE_BOUND:
+            self._bound = max(self._bound, magnitude)
+            return True
+        self._spill()
+        return False
+
+    def load_row_state(self, row: int, values) -> None:
         """Inverse of :meth:`row_state_ints` for row ``row``.
 
         Loading an all-zero state into a never-touched lazy row is a
         no-op, so restoring a sparse checkpoint materializes exactly the
-        rows it ships.
+        rows it ships.  Only the totals and index-sum planes count
+        against the ``int64`` guard: fingerprints are residues mod ``p``
+        whatever their magnitude on the wire.
         """
         if len(values) != 3 * self.cells:
             raise ValueError(f"expected {3 * self.cells} state ints, got {len(values)}")
-        magnitude = max((abs(int(v)) for v in values), default=0)
+        if not 0 <= row < self.num_rows:
+            raise ValueError(f"row {row} out of [0, {self.num_rows})")
+        cells = self.cells
+        magnitude = max((abs(int(v)) for v in values[: 2 * cells]), default=0)
         if (
-            magnitude == 0
-            and self.lazy
+            self.lazy
             and self._spilled is None
             and self._slot(row, create=False) is None
+            and magnitude == 0
+            and not any(int(v) for v in values[2 * cells :])
         ):
             return
-        if not self._admit(magnitude):
+        if not self._admit_overwrite(magnitude):
             self._spilled_sketch(row, create=True).from_state_ints(values)
             return
         slot = self._slot(row, create=True)
-        cells = self.cells
         self._totals[slot] = np.array(values[:cells], dtype=np.int64)
         self._index_sums[slot] = np.array(values[cells : 2 * cells], dtype=np.int64)
         self._fingerprints[slot] = np.array(
@@ -830,32 +859,98 @@ class SketchStack:
         self._bound = 0
         self._spilled = None
 
-    def sparse_state_ints(self) -> list[int]:
+    def sparse_state_ints(self) -> np.ndarray:
         """Self-delimiting nonzero-rows block: ``[count, (row id, row
-        state) ...]`` in ascending logical row order.
+        state) ...]`` in ascending logical row order, as an ``int64``
+        array.
 
         Dense and lazy stacks fed the same updates emit identical
         blocks — the storage-independent wire format that checkpoints
-        and shard messages use to carry logical row ids.
+        and shard messages use to carry logical row ids.  Columnar
+        storage emits the block as one gather per counter plane into a
+        ``(count, 1 + row_state_len)`` view; a spilled stack walks its
+        per-row sketches (an ``object`` array if a cell left ``int64``,
+        see :func:`~repro.sketch.serialize.int_array`).
         """
-        rows = self.nonzero_row_ids()
-        flat: list[int] = [len(rows)]
-        for row in rows:
-            flat.append(row)
-            flat.extend(self.row_state_ints(row))
-        return flat
+        if self._spilled is not None:
+            rows = self.nonzero_row_ids()
+            flat: list[int] = [len(rows)]
+            for row in rows:
+                flat.append(row)
+                flat.extend(self.row_state_ints(row))
+            return int_array(flat)
+        rows, slots = self._nonzero_rows_and_slots()
+        cells = self.cells
+        out = np.empty(1 + rows.size * (1 + 3 * cells), dtype=np.int64)
+        out[0] = rows.size
+        block = out[1:].reshape(rows.size, 1 + 3 * cells)
+        block[:, 0] = rows
+        block[:, 1 : 1 + cells] = self._totals[slots]
+        block[:, 1 + cells : 1 + 2 * cells] = self._index_sums[slots]
+        # Fingerprints are residues below p < 2^61: exact as int64.
+        block[:, 1 + 2 * cells :] = self._fingerprints[slots]
+        return out
 
-    def load_sparse_state(self, values: list[int], cursor: int = 0) -> int:
-        """Inverse of :meth:`sparse_state_ints`; returns the new cursor."""
+    def load_sparse_state(self, values, cursor: int = 0) -> int:
+        """Inverse of :meth:`sparse_state_ints`; returns the new cursor.
+
+        ``values`` is an int sequence (an ``int64`` array takes the
+        vectorized path: one reshape, one batch intern, one ``% p``).
+        Raises ``ValueError`` when the block overruns ``values`` or
+        names rows outside ``[0, num_rows)`` or out of ascending order.
+        """
         count = int(values[cursor])
         cursor += 1
-        per_row = self.row_state_len()
-        for _ in range(count):
-            row = int(values[cursor])
-            cursor += 1
-            self.load_row_state(row, values[cursor : cursor + per_row])
-            cursor += per_row
-        return cursor
+        width = 1 + self.row_state_len()
+        end = cursor + count * width
+        if count < 0 or end > len(values):
+            raise ValueError(
+                f"sparse block of {count} rows overruns the {len(values)}-int wire"
+            )
+        block = int_array(values[cursor:end]).reshape(count, width)
+        rows = block[:, 0]
+        if count and (
+            int(rows[0]) < 0
+            or int(rows[-1]) >= self.num_rows
+            or bool(np.any(rows[1:] <= rows[:-1]))
+        ):
+            raise ValueError(
+                f"sparse block rows must ascend strictly within [0, {self.num_rows})"
+            )
+        if block.dtype != np.int64 or self._spilled is not None:
+            for line in block:
+                self.load_row_state(int(line[0]), line[1:])
+            return end
+        self._load_block(block)
+        return end
+
+    def _load_block(self, block: np.ndarray) -> None:
+        """Overwrite the rows of a validated ``(count, 1 + 3 * cells)``
+        ``int64`` block in one vectorized pass."""
+        if block.shape[0] == 0:
+            return
+        cells = self.cells
+        if self.lazy:
+            # As in load_row_state: all-zero rows materialize nothing
+            # unless they overwrite a resident row.
+            alive = block[:, 1:].any(axis=1)
+            if not alive.all():
+                alive |= np.isin(block[:, 0], self._sorted_snapshot()[0])
+                block = block[alive]
+                if block.shape[0] == 0:
+                    return
+        planes = block[:, 1 : 1 + 2 * cells]
+        if not self._admit_overwrite(max_abs_int64(planes)):
+            for line in block:
+                self.load_row_state(int(line[0]), line[1:])
+            return
+        rows = block[:, 0]
+        slots = self._slots_for_batch(rows) if self.lazy else rows
+        self._totals[slots] = planes[:, :cells]
+        self._index_sums[slots] = planes[:, cells:]
+        self._fingerprints[slots] = np.remainder(
+            block[:, 1 + 2 * cells :], MERSENNE_61
+        ).astype(np.uint64)
 
     # ------------------------------------------------------------------
     # Linearity / copying
@@ -982,14 +1077,12 @@ class L0SamplerStack:
     __slots__ = ("num_rows", "domain_size", "levels", "lazy", "_seed_key", "_membership", "_level_stacks", "_tiebreak")
 
     def __init__(self, num_rows: int, domain_size: int, seed, budget: int = 4, lazy: bool = False):
-        template = L0Sampler(domain_size, seed, budget=budget)
         self.num_rows = num_rows
         self.domain_size = domain_size
-        self.levels = template.levels
+        self.levels, self._seed_key, self._membership, self._tiebreak = (
+            L0Sampler.shared_randomness(domain_size, seed, budget)
+        )
         self.lazy = bool(lazy)
-        self._seed_key = template._seed_key
-        self._membership = template._membership
-        self._tiebreak = template._tiebreak
         self._level_stacks = [
             SketchStack(
                 num_rows,
@@ -1111,15 +1204,12 @@ class L0SamplerStack:
         for stack in self._level_stacks:
             stack.reset_state()
 
-    def sparse_state_ints(self) -> list[int]:
+    def sparse_state_ints(self) -> np.ndarray:
         """Concatenated per-level nonzero-row blocks (see
         :meth:`SketchStack.sparse_state_ints`) — storage-independent."""
-        flat: list[int] = []
-        for stack in self._level_stacks:
-            flat.extend(stack.sparse_state_ints())
-        return flat
+        return np.concatenate([stack.sparse_state_ints() for stack in self._level_stacks])
 
-    def load_sparse_state(self, values: list[int], cursor: int = 0) -> int:
+    def load_sparse_state(self, values, cursor: int = 0) -> int:
         """Inverse of :meth:`sparse_state_ints`; returns the new cursor."""
         for stack in self._level_stacks:
             cursor = stack.load_sparse_state(values, cursor)

@@ -51,12 +51,10 @@ class L0Sampler:
     __slots__ = ("domain_size", "levels", "_seed_key", "_membership", "_level_sketches", "_tiebreak")
 
     def __init__(self, domain_size: int, seed: int | str, budget: int = 4):
-        if domain_size <= 0:
-            raise ValueError(f"domain_size must be positive, got {domain_size}")
         self.domain_size = domain_size
-        self.levels = max(1, math.ceil(math.log2(domain_size))) + 1
-        self._seed_key = derive_seed(seed, "l0sampler", domain_size, budget)
-        self._membership = NestedSampler(self.levels - 1, derive_seed(self._seed_key, "membership"))
+        self.levels, self._seed_key, self._membership, self._tiebreak = (
+            L0Sampler.shared_randomness(domain_size, seed, budget)
+        )
         self._level_sketches = [
             SparseRecoverySketch(
                 domain_size,
@@ -66,7 +64,21 @@ class L0Sampler:
             )
             for j in range(self.levels)
         ]
-        self._tiebreak = KWiseHash.shared(4, derive_seed(self._seed_key, "tiebreak"))
+
+    @staticmethod
+    def shared_randomness(domain_size: int, seed: int | str, budget: int = 4):
+        """``(levels, seed key, membership sampler, tiebreak hash)`` of a
+        sampler with these parameters — what a same-seeded stack of
+        samplers shares, derived without building the level sketches.
+        Level ``j``'s sketch seed is ``derive_seed(seed key, "level", j)``.
+        """
+        if domain_size <= 0:
+            raise ValueError(f"domain_size must be positive, got {domain_size}")
+        levels = max(1, math.ceil(math.log2(domain_size))) + 1
+        seed_key = derive_seed(seed, "l0sampler", domain_size, budget)
+        membership = NestedSampler(levels - 1, derive_seed(seed_key, "membership"))
+        tiebreak = KWiseHash.shared(4, derive_seed(seed_key, "tiebreak"))
+        return levels, seed_key, membership, tiebreak
 
     def update(self, index: int, delta: int) -> None:
         """Apply ``x[index] += delta``."""

@@ -11,6 +11,8 @@ import pytest
 
 from repro import faults
 from repro.faults import FaultPlan, apply_corruption
+from repro.graph.vertex_space import VertexSpace
+from repro.service import checkpoint as checkpoint_module
 from repro.service import (
     CheckpointError,
     CheckpointStore,
@@ -18,6 +20,7 @@ from repro.service import (
     load_session,
     save_session,
 )
+from repro.sketch.serialize import pack_ints, unpack_ints
 from repro.stream import mixed_workload_stream
 
 NUM_VERTICES = 12
@@ -178,6 +181,79 @@ class TestCleanFailure:
     def test_missing_file_raises_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             load_session(tmp_path / "absent.bin")
+
+
+def _forge_payload(path, edit) -> None:
+    """Rewrite the checkpoint's payload ints through ``edit`` and reframe
+    it with a *valid* CRC, so only the loader's consistency checks stand
+    between the forged contents and the session."""
+    data = path.read_bytes()
+    frame = checkpoint_module._FRAME
+    header_len, _ = frame.unpack_from(data, len(checkpoint_module.MAGIC))
+    payload_at = len(checkpoint_module.MAGIC) + frame.size + header_len
+    payload_len, _ = frame.unpack_from(data, payload_at)
+    start = payload_at + frame.size
+    values = unpack_ints(data[start : start + payload_len])
+    edit(values)
+    path.write_bytes(data[:payload_at] + b"".join(checkpoint_module._frame(pack_ints(values))))
+
+
+def _ledger_end(values) -> int:
+    """Index of the connectivity block's length prefix."""
+    return 1 + 4 * values[0]
+
+
+def _set(offset_of, value):
+    def edit(values):
+        values[offset_of(values)] = value
+
+    return edit
+
+
+#: name -> payload edit.  The connectivity block follows the ledger:
+#: ``[length, count, row id, cells ...]`` for its first stack.
+FORGERIES = {
+    "block-length-past-end": lambda values: values.__setitem__(
+        _ledger_end(values), len(values)
+    ),
+    "row-count-past-end": lambda values: values.__setitem__(
+        _ledger_end(values) + 1, values[_ledger_end(values) + 1] + 10**6
+    ),
+    "row-id-past-universe": _set(lambda values: _ledger_end(values) + 2, 10**9),
+    "negative-row-id": _set(lambda values: _ledger_end(values) + 2, -1),
+    "row-id-outside-int64": _set(lambda values: _ledger_end(values) + 2, 2**64),
+    "block-length-outside-int64": _set(_ledger_end, 2**64),
+    "ledger-vertex-outside-universe": _set(lambda values: 1, 10**9),
+    "ledger-multiplicity-outside-int64": _set(lambda values: 3, 2**64),
+    "ledger-weight-bits-outside-uint64": _set(lambda values: 4, 2**70),
+}
+
+
+class TestForgedPayloads:
+    """CRC-valid but inconsistent payloads fail as CheckpointError."""
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    def test_inconsistent_payload_raises_checkpoint_error(
+        self, stream_chunks, tmp_path, lazy, forgery
+    ):
+        space = VertexSpace.sparse(NUM_VERTICES) if lazy else NUM_VERTICES
+        session = GraphSession(space, SEED, **SLOTS_OFF)
+        for chunk in stream_chunks[:2]:
+            session.ingest_batch(chunk)
+        path = tmp_path / "forged.bin"
+        save_session(session, path)
+        _forge_payload(path, FORGERIES[forgery])
+        with pytest.raises(CheckpointError, match="inconsistent payload"):
+            load_session(path)
+
+    def test_unforged_round_trip_still_loads(self, stream_chunks, tmp_path):
+        session = GraphSession(VertexSpace.sparse(NUM_VERTICES), SEED, **SLOTS_OFF)
+        session.ingest_batch(stream_chunks[0])
+        path = tmp_path / "plain.bin"
+        save_session(session, path)
+        _forge_payload(path, lambda values: None)
+        assert load_session(path).updates_ingested == session.updates_ingested
 
 
 class TestDegradedQueries:

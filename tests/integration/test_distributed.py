@@ -173,7 +173,7 @@ class TestShardedRunner:
             peer = ConnectivityChecker(28, seed=33)
             peer.load_shard_state_ints(0, worker.shard_state_ints(0))
             coordinator.merge_shard(peer, 0)
-        assert coordinator.shard_state_ints(0) == single.shard_state_ints(0)
+        assert list(coordinator.shard_state_ints(0)) == list(single.shard_state_ints(0))
 
         result = runner.run(stream, partial(ConnectivityChecker, 28, 33))
         assert sorted(map(sorted, result.output)) == sorted(

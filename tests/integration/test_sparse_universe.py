@@ -176,18 +176,18 @@ class TestMixedShardMerge:
         stream = list(mixed_workload_stream(n, 1800, "mixed-shards"))
         single = make(False)
         single.process_batch(stream, 0)
-        reference = single.shard_state_ints(0)
+        reference = list(single.shard_state_ints(0))
 
         coordinator = make(coordinator_lazy)
         for shard in range(shards):
             worker = make(lazy=(shard % 2 == 0))  # alternate storage engines
             worker.process_batch(stream[shard::shards], 0)
-            shipped = worker.shard_state_ints(0)
+            shipped = list(worker.shard_state_ints(0))
             rebuilt = make(lazy=(shard % 2 == 1))  # load into the *other* engine
             rebuilt.load_shard_state_ints(0, shipped)
-            assert rebuilt.shard_state_ints(0) == shipped
+            assert list(rebuilt.shard_state_ints(0)) == shipped
             coordinator.merge_shard(rebuilt, 0)
-        assert coordinator.shard_state_ints(0) == reference
+        assert list(coordinator.shard_state_ints(0)) == reference
 
     def test_repeated_broadcast_adoption_is_idempotent(self):
         n = 24
@@ -218,7 +218,7 @@ class TestWireOverwrites:
         source = ConnectivityChecker(VertexSpace.sparse(32), "ow")
         source.process_batch(stream_b, 0)
         target.load_shard_state_ints(0, source.shard_state_ints(0))
-        assert target.shard_state_ints(0) == source.shard_state_ints(0)
+        assert list(target.shard_state_ints(0)) == list(source.shard_state_ints(0))
 
     def test_numpy_integer_query_ids(self):
         import numpy as np

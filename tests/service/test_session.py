@@ -39,14 +39,14 @@ class TestIngestAndLedger:
     def test_negative_multiplicity_rejected_atomically(self):
         session = make_session(enable_spanner=False, enable_sparsifier=False)
         session.ingest(EdgeUpdate(0, 1, +1))
-        state_before = session._connectivity.shard_state_ints(0)
+        state_before = list(session._connectivity.shard_state_ints(0))
         with pytest.raises(ValueError, match="negative"):
             session.ingest_batch([EdgeUpdate(1, 2, +1), EdgeUpdate(3, 4, -1)])
         # The bad batch must not have half-landed: ledger, epoch and
         # sketch state all unchanged.
         assert session.epoch == 1
         assert session.num_live_edges() == 1
-        assert session._connectivity.shard_state_ints(0) == state_before
+        assert list(session._connectivity.shard_state_ints(0)) == state_before
 
     def test_turnstile_weight_change_rejected(self):
         session = make_session(weight_bounds=(1.0, 4.0), enable_spanner=False,

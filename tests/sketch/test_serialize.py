@@ -1,5 +1,6 @@
 """Tests for sketch-state serialization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from repro.sketch import (
     serialized_size_bytes,
     unpack_ints,
 )
+from repro.sketch import serialize as serialize_module
+from repro.sketch.serialize import _pack_scalar, _unpack_scalar, int_array, unpack_array
 
 
 class TestVarintCodec:
@@ -51,6 +54,104 @@ class TestVarintCodec:
     @given(values=st.lists(st.integers(min_value=-(2**80), max_value=2**80)))
     def test_round_trip_property(self, values):
         assert unpack_ints(pack_ints(values)) == values
+
+
+#: The int64 edges of the array codec's zigzag (uint64 wraparound).
+INT64_EDGES = [0, 1, -1, 2, -2, 2**62, -(2**62), 2**63 - 1, -(2**63)]
+
+#: Values only the scalar path can carry.
+WIDE = [2**64, -(2**64), 2**100, -(2**100)]
+
+
+class TestArrayCodec:
+    """The numpy codec must be byte-identical to the scalar reference."""
+
+    def test_int64_edges(self):
+        packed = _pack_scalar(INT64_EDGES)
+        assert pack_ints(INT64_EDGES) == packed
+        assert pack_ints(np.array(INT64_EDGES, dtype=np.int64)) == packed
+        decoded = unpack_array(packed)
+        assert decoded.dtype == np.int64
+        assert decoded.tolist() == INT64_EDGES
+        assert unpack_ints(packed) == INT64_EDGES
+
+    def test_values_outside_int64_take_the_exact_path(self):
+        values = INT64_EDGES + WIDE + [7]
+        packed = _pack_scalar(values)
+        assert pack_ints(values) == packed
+        assert unpack_ints(packed) == values
+        decoded = unpack_array(packed)
+        assert decoded.dtype == object
+        assert decoded.tolist() == values
+        assert int_array(values).dtype == object
+
+    def test_empty(self):
+        assert pack_ints(np.zeros(0, dtype=np.int64)) == b""
+        assert unpack_array(b"").dtype == np.int64
+        assert unpack_array(b"").size == 0
+
+    def test_unsigned_and_narrow_arrays(self):
+        assert pack_ints(np.array([3, 2**63], dtype=np.uint64)) == _pack_scalar([3, 2**63])
+        assert pack_ints(np.array([-5, 7], dtype=np.int8)) == _pack_scalar([-5, 7])
+
+    @pytest.mark.parametrize("tail", [[], [2**64]], ids=["int64", "wide-tail"])
+    def test_long_sequences_cross_chunk_boundaries(self, tail):
+        rng = np.random.default_rng(11)
+        size = 3 * serialize_module._CHUNK_VALUES + 17
+        magnitudes = rng.choice([2**6, 2**20, 2**62], size=size)
+        values = (rng.integers(-(2**62), 2**62, size=size) % magnitudes).tolist()
+        values = values + INT64_EDGES + tail
+        packed = _pack_scalar(values)
+        assert len(packed) > 2 * serialize_module._CHUNK_BYTES
+        assert pack_ints(values) == packed
+        assert unpack_ints(packed) == values
+
+    def test_overlong_varint_decodes_like_the_scalar_loop(self):
+        overlong_zero = b"\x80" * 11 + b"\x00"
+        assert unpack_ints(overlong_zero) == _unpack_scalar(overlong_zero) == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                st.integers(min_value=-300, max_value=300),
+                st.sampled_from(INT64_EDGES + WIDE),
+                st.integers(min_value=-(2**70), max_value=2**70),
+            )
+        )
+    )
+    def test_byte_identical_to_scalar_reference(self, values):
+        packed = _pack_scalar(values)
+        assert pack_ints(values) == packed
+        assert unpack_ints(packed) == values
+        assert unpack_array(packed).tolist() == values
+        if all(-(2**63) <= value < 2**63 for value in values):
+            assert pack_ints(np.array(values, dtype=np.int64)) == packed
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                st.sampled_from(WIDE),
+            ),
+            min_size=1,
+        ),
+        tail=st.integers(min_value=0, max_value=0x7F),
+    )
+    def test_truncated_streams_raise(self, values, tail):
+        packed = _pack_scalar(values)
+        # A dangling continuation byte, and (for a multi-byte final
+        # varint) the stream cut one byte short.
+        cuts = [packed + bytes([0x80 | tail])]
+        if len(packed) > 1 and packed[-2] & 0x80:
+            cuts.append(packed[:-1])
+        for truncated in cuts:
+            with pytest.raises(ValueError, match="truncated varint stream"):
+                unpack_ints(truncated)
+            with pytest.raises(ValueError, match="truncated varint stream"):
+                unpack_array(truncated)
 
 
 class TestStateInts:
@@ -90,7 +191,7 @@ class TestStateInts:
         for sketch in sketches:
             size = serialized_size_bytes(sketch)
             assert size > 0
-            assert unpack_ints(pack_ints(sketch.state_ints())) == sketch.state_ints()
+            assert unpack_ints(pack_ints(sketch.state_ints())) == list(sketch.state_ints())
 
     def test_hash_tables_expose_state_ints(self):
         # Regression: the tables advertised combine() but state_ints()
@@ -132,7 +233,7 @@ def _round_trip(sketch, fresh):
     """serialize -> deserialize into a fresh instance -> compare state."""
     blob = serialize_sketch(sketch)
     clone = deserialize_sketch(fresh, blob)
-    assert clone.state_ints() == sketch.state_ints()
+    assert list(clone.state_ints()) == list(sketch.state_ints())
     return clone
 
 

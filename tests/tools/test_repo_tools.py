@@ -104,3 +104,19 @@ def test_module_name_maps_src_tree():
     path = _repo.SRC_DIR / "repro" / "sketch" / "batched.py"
     assert _repo.module_name(path) == "repro.sketch.batched"
     assert _repo.module_name(_repo.REPO_ROOT / "scratch.py") == "scratch"
+
+
+def test_every_rate_table_is_gated(tmp_path, suites, capsys):
+    suite = make_suite(tmp_path, fresh={"a": 100.0}, baseline={"a": 100.0})
+    for path, rate in ((suite.results_path, 40.0), (suite.baseline_path, 100.0)):
+        tables = json.loads(path.read_text())
+        tables["checkpoint_bytes_per_second"] = {"save": rate}
+        path.write_text(json.dumps(tables))
+    suites(suite)
+    assert perf_regress.main([]) == perf_regress.EXIT_REGRESSION
+    assert "save" in capsys.readouterr().out
+    assert perf_regress.main(["--update-baseline"]) == perf_regress.EXIT_OK
+    written = json.loads(suite.baseline_path.read_text())
+    assert written["checkpoint_bytes_per_second"]["save"] == pytest.approx(
+        40.0 * perf_regress.BASELINE_FRACTION
+    )

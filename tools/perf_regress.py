@@ -53,6 +53,14 @@ TOLERANCE = 0.20
 #: ``--update-baseline`` records this fraction of the fresh rates.
 BASELINE_FRACTION = 0.50
 
+#: Rate tables a measurement may carry (every rate higher-is-better),
+#: each with the unit its lines print in.  A baseline gates the tables
+#: it holds.
+RATE_TABLES = {
+    "updates_per_second": "up/s",
+    "checkpoint_bytes_per_second": "B/s",
+}
+
 #: Exit codes (see the module docstring).
 EXIT_OK = 0
 EXIT_REGRESSION = 1
@@ -92,11 +100,13 @@ def update_baseline(suite: _repo.BenchSuite) -> None:
             f"{TOLERANCE:.0%} tolerance; regenerate with "
             "`python tools/perf_regress.py --update-baseline`."
         ),
-        "updates_per_second": {
-            name: round(rate * BASELINE_FRACTION, 1)
-            for name, rate in fresh["updates_per_second"].items()
-        },
     }
+    for table in RATE_TABLES:
+        if table in fresh:
+            baseline[table] = {
+                name: round(rate * BASELINE_FRACTION, 1)
+                for name, rate in fresh[table].items()
+            }
     for key in ("stream_updates", "batch_size", "universe", "phase_seconds"):
         if key in fresh:
             baseline[key] = fresh[key]
@@ -109,34 +119,39 @@ def update_baseline(suite: _repo.BenchSuite) -> None:
 
 def compare(suite: _repo.BenchSuite) -> list[str]:
     """Compare one suite's fresh rates against its floors; return failures."""
-    fresh = load(suite.results_path, suite.target)["updates_per_second"]
-    baseline = load(suite.baseline_path, suite.target)["updates_per_second"]
+    fresh_tables = load(suite.results_path, suite.target)
+    baseline_tables = load(suite.baseline_path, suite.target)
     failures: list[str] = []
-    width = max(len(name) for name in baseline)
     print(
         f"perf_regress[{suite.name}]: fresh rates vs committed floors "
         f"({TOLERANCE:.0%} tolerance)"
     )
-    for name, floor in sorted(baseline.items()):
-        rate = fresh.get(name)
-        if rate is None:
-            failures.append(
-                f"{suite.name}/{name}: missing from the fresh measurement"
-            )
+    for table, unit in RATE_TABLES.items():
+        if table not in baseline_tables:
             continue
-        allowed = floor * (1.0 - TOLERANCE)
-        verdict = "ok" if rate >= allowed else "REGRESSION"
-        print(
-            f"  {name:<{width}} {rate:>12,.0f} up/s  "
-            f"(floor {floor:>12,.0f}, min {allowed:>12,.0f})  {verdict}"
-        )
-        if rate < allowed:
-            failures.append(
-                f"{suite.name}/{name}: {rate:,.0f} updates/s is more than "
-                f"{TOLERANCE:.0%} below the baseline floor {floor:,.0f}"
+        fresh = fresh_tables.get(table, {})
+        baseline = baseline_tables[table]
+        width = max(len(name) for name in baseline)
+        for name, floor in sorted(baseline.items()):
+            rate = fresh.get(name)
+            if rate is None:
+                failures.append(
+                    f"{suite.name}/{name}: missing from the fresh measurement"
+                )
+                continue
+            allowed = floor * (1.0 - TOLERANCE)
+            verdict = "ok" if rate >= allowed else "REGRESSION"
+            print(
+                f"  {name:<{width}} {rate:>12,.0f} {unit}  "
+                f"(floor {floor:>12,.0f}, min {allowed:>12,.0f})  {verdict}"
             )
-    for name in sorted(set(fresh) - set(baseline)):
-        print(f"  {name:<{width}} {fresh[name]:>12,.0f} up/s  (no baseline yet)")
+            if rate < allowed:
+                failures.append(
+                    f"{suite.name}/{name}: {rate:,.0f} {unit} is more than "
+                    f"{TOLERANCE:.0%} below the baseline floor {floor:,.0f}"
+                )
+        for name in sorted(set(fresh) - set(baseline)):
+            print(f"  {name:<{width}} {fresh[name]:>12,.0f} {unit}  (no baseline yet)")
     return failures
 
 
