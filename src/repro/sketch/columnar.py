@@ -917,18 +917,19 @@ class SketchStack:
             raise ValueError(
                 f"sparse block rows must ascend strictly within [0, {self.num_rows})"
             )
-        if block.dtype != np.int64 or self._spilled is not None:
+        if block.dtype != np.int64 or not self._load_block(block):
             for line in block:
                 self.load_row_state(int(line[0]), line[1:])
-            return end
-        self._load_block(block)
         return end
 
-    def _load_block(self, block: np.ndarray) -> None:
+    def _load_block(self, block: np.ndarray) -> bool:
         """Overwrite the rows of a validated ``(count, 1 + 3 * cells)``
-        ``int64`` block in one vectorized pass."""
+        ``int64`` block in one vectorized pass; ``False`` (nothing
+        loaded) when the stack is or becomes spilled."""
+        if self._spilled is not None:
+            return False
         if block.shape[0] == 0:
-            return
+            return True
         cells = self.cells
         if self.lazy:
             # As in load_row_state: all-zero rows materialize nothing
@@ -938,12 +939,10 @@ class SketchStack:
                 alive |= np.isin(block[:, 0], self._sorted_snapshot()[0])
                 block = block[alive]
                 if block.shape[0] == 0:
-                    return
+                    return True
         planes = block[:, 1 : 1 + 2 * cells]
         if not self._admit_overwrite(max_abs_int64(planes)):
-            for line in block:
-                self.load_row_state(int(line[0]), line[1:])
-            return
+            return False
         rows = block[:, 0]
         slots = self._slots_for_batch(rows) if self.lazy else rows
         self._totals[slots] = planes[:, :cells]
@@ -951,6 +950,7 @@ class SketchStack:
         self._fingerprints[slots] = np.remainder(
             block[:, 1 + 2 * cells :], MERSENNE_61
         ).astype(np.uint64)
+        return True
 
     # ------------------------------------------------------------------
     # Linearity / copying
